@@ -176,47 +176,48 @@ class SyntheticMarketGenerator:
         208 edges over 51 nodes has far too few triangles.
         """
         n = len(tokens)
-        order = list(self._rng.permutation(n))
-        pairs: list[tuple[Token, Token]] = []
-        seen_pairs: set[frozenset[Token]] = set()
-        degree: dict[Token, int] = {token: 0 for token in tokens}
+        order = self._rng.permutation(n)
+        # Token-index edges and one float degree vector updated in place:
+        # a draw's weights are ``degree + 1`` over its candidates in
+        # candidate order, which the golden market digests pin per seed.
+        edges: list[tuple[int, int]] = []
+        seen_pairs: set[tuple[int, int]] = set()
+        degree = np.zeros(n)
 
-        def add_pair(a: Token, b: Token) -> None:
-            pairs.append((a, b))
-            seen_pairs.add(frozenset((a, b)))
-            degree[a] += 1
-            degree[b] += 1
+        def add_pair(a: int, b: int) -> None:
+            edges.append((a, b))
+            seen_pairs.add((min(a, b), max(a, b)))
+            degree[a] += 1.0
+            degree[b] += 1.0
 
         # Spanning tree: attach each node to a degree-weighted earlier node.
         for i in range(1, n):
-            earlier = [tokens[order[k]] for k in range(i)]
-            weights = np.array([degree[t] + 1.0 for t in earlier])
+            weights = degree[order[:i]] + 1.0
             j = int(self._rng.choice(i, p=weights / weights.sum()))
-            add_pair(tokens[order[i]], earlier[j])
+            add_pair(int(order[i]), int(order[j]))
 
         # Extra edges up to n_pools, degree-weighted on both ends.
         attempts = 0
-        while len(pairs) < self.n_pools:
+        while len(edges) < self.n_pools:
             attempts += 1
             if attempts > 100 * self.n_pools:
                 raise RuntimeError(
                     "edge sampling stalled; parameters leave too few free pairs"
                 )
-            if pairs and float(self._rng.random()) < self.parallel_pool_fraction:
+            if edges and float(self._rng.random()) < self.parallel_pool_fraction:
                 # duplicate an existing pair (parallel pool)
-                a, b = pairs[int(self._rng.integers(0, len(pairs)))]
-                pairs.append((a, b))
-                degree[a] += 1
-                degree[b] += 1
+                a, b = edges[int(self._rng.integers(0, len(edges)))]
+                edges.append((a, b))
+                degree[a] += 1.0
+                degree[b] += 1.0
                 continue
-            weights = np.array([degree[t] + 1.0 for t in tokens], dtype=float)
-            probs = weights / weights.sum()
-            i, j = self._rng.choice(n, size=2, replace=False, p=probs)
-            a, b = tokens[int(i)], tokens[int(j)]
-            if frozenset((a, b)) in seen_pairs:
+            weights = degree + 1.0
+            i, j = self._rng.choice(n, size=2, replace=False, p=weights / weights.sum())
+            a, b = int(i), int(j)
+            if (min(a, b), max(a, b)) in seen_pairs:
                 continue
             add_pair(a, b)
-        return pairs
+        return [(tokens[a], tokens[b]) for a, b in edges]
 
     def _make_pools(self, tokens: list[Token], prices: PriceMap) -> PoolRegistry:
         registry = PoolRegistry()

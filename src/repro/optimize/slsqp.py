@@ -7,12 +7,16 @@ tolerance the experiments need.  SLSQP also handles programs with
 linear equality constraints and does not need a strictly feasible
 start, so it is the fallback when the barrier cannot find an interior
 point.
+
+scipy is imported inside :func:`solve_slsqp`, not at module load: this
+backend is its only user, and ``scipy.optimize`` costs more to import
+than the rest of the package, so a run that never reaches SLSQP never
+pays for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..core.errors import SolverConvergenceError
 from .program import ConvexProgram
@@ -43,6 +47,8 @@ def solve_slsqp(
         reports failure; otherwise return the best point found with
         ``converged=False``.
     """
+    from scipy.optimize import minimize
+
     n = program.n_vars
     if initial_point is None:
         x0 = np.full(n, 1e-6)

@@ -55,12 +55,22 @@ def _token_to_dict(token: Token) -> dict:
     }
 
 
-def _token_from_dict(data: dict) -> Token:
-    return Token(
-        symbol=data["symbol"],
-        decimals=data.get("decimals", 18),
-        address=data.get("address", ""),
-    )
+def _token_from_dict(data: dict, interned: dict) -> Token:
+    """Parse a token, sharing one instance per distinct record.
+
+    ``Token`` is frozen, so every event of a stream can hold the same
+    instance; ``interned`` maps ``(symbol, decimals, address)`` to it.
+    The key carries the type of ``decimals`` too, so an ``18.0`` in the
+    input is not folded into an ``18`` (they hash alike).
+    """
+    symbol = data["symbol"]
+    decimals = data.get("decimals", 18)
+    address = data.get("address", "")
+    key = (symbol, decimals, type(decimals), address)
+    token = interned.get(key)
+    if token is None:
+        token = interned[key] = Token(symbol=symbol, decimals=decimals, address=address)
+    return token
 
 
 def event_to_dict(event: MarketEvent) -> dict:
@@ -96,8 +106,14 @@ def event_to_dict(event: MarketEvent) -> dict:
     return data
 
 
-def event_from_dict(data: dict) -> MarketEvent:
-    """Parse one event dict (inverse of :func:`event_to_dict`)."""
+def event_from_dict(data: dict, tokens: dict | None = None) -> MarketEvent:
+    """Parse one event dict (inverse of :func:`event_to_dict`).
+
+    ``tokens`` is an intern table for the parsed ``Token`` objects; pass
+    one dict for a whole stream so its events share them.
+    """
+    if tokens is None:
+        tokens = {}
     try:
         tag = data["type"]
         cls = _TYPE_TAGS.get(tag)
@@ -107,8 +123,8 @@ def event_from_dict(data: dict) -> MarketEvent:
         if cls is SwapEvent:
             return SwapEvent(
                 pool_id=data["pool_id"],
-                token_in=_token_from_dict(data["token_in"]),
-                token_out=_token_from_dict(data["token_out"]),
+                token_in=_token_from_dict(data["token_in"], tokens),
+                token_out=_token_from_dict(data["token_out"], tokens),
                 amount_in=float(data["amount_in"]),
                 amount_out=float(data["amount_out"]),
                 block=block,
@@ -130,7 +146,7 @@ def event_from_dict(data: dict) -> MarketEvent:
             )
         if cls is PriceTickEvent:
             return PriceTickEvent(
-                token=_token_from_dict(data["token"]),
+                token=_token_from_dict(data["token"], tokens),
                 price=float(data["price"]),
                 block=block,
             )
@@ -244,6 +260,7 @@ class MarketEventLog:
     @classmethod
     def from_jsonl(cls, text: str) -> "MarketEventLog":
         events = []
+        tokens: dict = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
@@ -254,7 +271,10 @@ class MarketEventLog:
                 raise EventLogFormatError(
                     f"line {lineno}: invalid JSON: {exc}"
                 ) from exc
-            events.append(event_from_dict(data))
+            try:
+                events.append(event_from_dict(data, tokens))
+            except EventLogFormatError as exc:
+                raise EventLogFormatError(f"line {lineno}: {exc}") from exc
         try:
             return cls(events)
         except EventOrderError as exc:

@@ -95,13 +95,16 @@ class ConvexOptimizationStrategy(Strategy):
         solution, backend_used, solve_info = self._solve(loop_program, maxmax)
 
         if solution is not None:
-            monetized = loop_program.monetized_profit(solution)
+            # clip solver noise first and floor on the *clipped* vector's
+            # value, so the reported profit is never below MaxMax
+            profit = loop_program.profit_vector(solution, tol=self.profit_tol)
+            monetized = profit.monetize(prices)
         else:
             monetized = -np.inf
 
         if solution is None or monetized < maxmax.monetized_profit:
             # MaxMax's path is feasible for eq. (8); floor the answer.
-            result = StrategyResult(
+            return StrategyResult(
                 strategy=self.name,
                 loop=loop,
                 profit=maxmax.profit,
@@ -115,17 +118,13 @@ class ConvexOptimizationStrategy(Strategy):
                     **solve_info,
                 },
             )
-            return result
 
         # solver produced >= MaxMax: report its solution
-        profit = loop_program.profit_vector(solution, tol=self.profit_tol)
         return StrategyResult(
             strategy=self.name,
             loop=loop,
             profit=profit,
-            # monetize the *clipped* vector so the reported profit and
-            # number agree (clipping only removes solver noise)
-            monetized_profit=profit.monetize(prices),
+            monetized_profit=monetized,
             start_token=None,
             amount_in=None,
             hop_amounts=tuple(loop_program.hop_amounts(solution)),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.amm import Pool, PoolRegistry
@@ -27,6 +29,8 @@ from repro.replay import (
     event_to_dict,
     generate_event_stream,
 )
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 @pytest.fixture
@@ -138,7 +142,7 @@ class TestMarketEventLog:
         assert MarketEventLog.load(path) == log
 
     def test_from_jsonl_bad_json(self):
-        with pytest.raises(EventLogFormatError, match="invalid JSON"):
+        with pytest.raises(EventLogFormatError, match="line 2: invalid JSON"):
             MarketEventLog.from_jsonl('{"type": "block", "block": 0}\nnot json\n')
 
     def test_from_jsonl_out_of_order(self):
@@ -147,6 +151,66 @@ class TestMarketEventLog:
             '{"type": "block", "block": 1}\n'
         )
         with pytest.raises(EventLogFormatError, match="block-ordered"):
+            MarketEventLog.from_jsonl(text)
+
+    def test_checked_in_stream_round_trips_byte_identically(self):
+        text = (DATA / "replay_stream.jsonl").read_text()
+        log = MarketEventLog.load(DATA / "replay_stream.jsonl")
+        assert log.to_jsonl() == text
+
+    def test_parsed_tokens_are_shared(self):
+        log = MarketEventLog.load(DATA / "replay_stream.jsonl")
+        tokens = {}
+        for event in log:
+            if isinstance(event, SwapEvent):
+                found = (event.token_in, event.token_out)
+            elif isinstance(event, PriceTickEvent):
+                found = (event.token,)
+            else:
+                continue
+            for token in found:
+                assert tokens.setdefault(token.symbol, token) is token
+
+    def test_same_symbol_keeps_decimals_and_address(self):
+        plain = Token("WETH")
+        variants = [
+            plain,
+            Token("WETH", decimals=8),
+            Token("WETH", address="0xabc"),
+            Token("WETH", decimals=8, address="0xabc"),
+            plain,
+        ]
+        log = MarketEventLog(
+            PriceTickEvent(token=token, price=1650.0 + i, block=i)
+            for i, token in enumerate(variants)
+        )
+        parsed = MarketEventLog.from_jsonl(log.to_jsonl())
+        assert [(e.token.decimals, e.token.address) for e in parsed] == [
+            (t.decimals, t.address) for t in variants
+        ]
+        assert parsed[0].token is parsed[4].token
+        assert parsed.to_jsonl() == log.to_jsonl()
+
+    def test_float_decimals_not_folded_into_int(self):
+        text = (
+            '{"block": 0, "price": 1.0, "type": "tick", '
+            '"token": {"address": "", "decimals": 18, "symbol": "X"}}\n'
+            '{"block": 0, "price": 1.0, "type": "tick", '
+            '"token": {"address": "", "decimals": 18.0, "symbol": "X"}}\n'
+        )
+        parsed = MarketEventLog.from_jsonl(text)
+        assert [type(e.token.decimals) for e in parsed] == [int, float]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"type": "mint", "block": 0, "amount0": 1.0}',
+            '{"type": "tick", "block": 0, "price": 1.0, "token": {}}',
+        ],
+    )
+    def test_malformed_record_reports_its_line(self, bad):
+        text = '{"type": "block", "block": 0}\n\n' + bad + "\n"
+        with pytest.raises(EventLogFormatError, match="line 3: malformed"):
             MarketEventLog.from_jsonl(text)
 
     def test_touched_pool_ids(self, tokens_xyz):

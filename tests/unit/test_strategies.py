@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import StrategyError, Token
-from repro.data import section5_loop, section5_prices
+from repro.core import PriceMap, StrategyError, Token
+from repro.data import paper_market, section5_loop, section5_prices
+from repro.graph import find_arbitrage_loops
 from repro.strategies import (
     ConvexOptimizationStrategy,
     MaxMaxStrategy,
@@ -180,6 +181,29 @@ class TestConvexOptimization:
         )
         assert result.details["backend"] == "slsqp"
         assert result.start_token is None
+
+    def test_floor_uses_clipped_profit(self):
+        """The MaxMax floor compares the *reported* (noise-clipped)
+        profit: on this loop and price map the SLSQP fallback's
+        unclipped value beats MaxMax but its clipped one is 1.2e-7 USD
+        below it, so the result must be floored."""
+        loops = {
+            loop.canonical_id: loop
+            for loop in find_arbitrage_loops(paper_market().graph(), 3)
+        }
+        loop = loops["PEPE/syn-0057|TOK012/syn-0162|TOK015/syn-0048"]
+        prices = PriceMap(
+            {
+                Token("PEPE"): float.fromhex("0x1.7775a3bf63244p-21"),
+                Token("TOK012"): float.fromhex("0x1.9fb36e38ab91ap-2"),
+                Token("TOK015"): float.fromhex("0x1.893c27b9b8d24p+3"),
+            }
+        )
+        convex = ConvexOptimizationStrategy().evaluate(loop, prices)
+        maxmax = MaxMaxStrategy().evaluate(loop, prices)
+        assert convex.details["backend"] == "slsqp-fallback"
+        assert convex.details["floored_to_maxmax"]
+        assert convex.monetized_profit >= maxmax.monetized_profit
 
 
 class TestRegistry:
